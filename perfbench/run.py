@@ -24,7 +24,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("stream_ingest", "rpc_open_loop", "road_unsafe")
+WORKLOADS = ("rpc_open_loop", "rpc_large_graph", "stream_ingest", "road_unsafe")
 RUN_TIMEOUT_S = 170
 
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -58,6 +59,10 @@ struct PipelinedResult {
   int64_t last_ack_ns = 0;
   int64_t submit_ns = 0;  // traced: time inside SubmitAsync
   double flush_ms = 0;
+  /// (time, updates submitted so far), every 1024 submits. The window
+  /// keeps submits within `window` updates of acks, so this is the lane's
+  /// ack progress to within a window.
+  std::vector<std::pair<int64_t, uint64_t>> progress;
 };
 
 /// Streams the lane through the pipelined lane until `deadline_ns`, then
@@ -69,10 +74,15 @@ inline void RunPipelined(IClient& client, const Lane& lane, int64_t warm_ns,
   out->first_submit_ns = NowNs();
   uint64_t i = 0;
   bool warm = false;
-  while ((i & 63) != 0 || NowNs() < deadline_ns) {
-    if ((i & 63) == 0 && !warm && NowNs() >= warm_ns) {
-      warm = true;
-      out->submitted_at_warm = i;
+  while (true) {
+    if ((i & 63) == 0) {
+      const int64_t now = NowNs();
+      if (now >= deadline_ns) break;
+      if (!warm && now >= warm_ns) {
+        warm = true;
+        out->submitted_at_warm = i;
+      }
+      if ((i & 1023) == 0) out->progress.push_back({now, i});
     }
     Update u = lane.Op(i);
     ClientStatus st;
@@ -89,6 +99,7 @@ inline void RunPipelined(IClient& client, const Lane& lane, int64_t warm_ns,
     }
     ++i;
   }
+  out->progress.push_back({NowNs(), i});
   int64_t t0 = NowNs();
   risgraph::FlushResult fr = client.Flush();
   out->last_ack_ns = NowNs();
@@ -99,13 +110,15 @@ inline void RunPipelined(IClient& client, const Lane& lane, int64_t warm_ns,
 
 //===--- Open-loop interactive client -------------------------------------===//
 
-enum class OpKind { kWrite, kRead };
+/// One due slot of an open-loop client. kDurableWrite is a write followed
+/// by WaitDurable on its version; a pattern gives it idle slots after it, so
+/// the client's own wait is not charged to its next operation.
+enum class OpKind { kWrite, kDurableWrite, kRead, kIdle };
 
 struct OpenLoopSpec {
   double rate_per_s = 1000;
-  std::vector<OpKind> pattern;  // cycled, one op per due time
-  uint32_t durable_every = 0;   // WaitDurable after every k-th write
-  const Lane* lane = nullptr;   // update source for kWrite
+  std::vector<OpKind> pattern;  // cycled, one slot per due time
+  const Lane* lane = nullptr;   // update source for writes
   uint64_t num_vertices = 0;
   uint64_t history_window = 128;  // versions the server retains
   uint64_t seed = 1;
@@ -116,6 +129,7 @@ struct WriteRecord {
   VersionId version;
   VertexId dst;
   int64_t due_ns;
+  int64_t ack_ns;
 };
 
 struct OpenLoopResult {
@@ -158,12 +172,13 @@ inline void RunOpenLoop(IClient& client, const OpenLoopSpec& spec,
   for (uint64_t k = 0;; ++k) {
     int64_t due = start_ns + static_cast<int64_t>(k) * period_ns;
     if (due >= deadline_ns) break;
+    const OpKind kind = spec.pattern[k % spec.pattern.size()];
+    if (kind == OpKind::kIdle) continue;
     WaitUntil(due);
     if (due >= warm_ns) {
       out->max_late_us = std::max(out->max_late_us, (NowNs() - due) / 1e3);
     }
-    OpKind kind = spec.pattern[k % spec.pattern.size()];
-    if (kind == OpKind::kWrite) {
+    if (kind != OpKind::kRead) {
       if (!writes_ok) continue;
       Update u = spec.lane->Op(out->writes_applied);
       out->attempted++;
@@ -180,11 +195,10 @@ inline void RunOpenLoop(IClient& client, const OpenLoopSpec& spec,
       out->writes_applied++;
       out->sequencer_ops++;
       out->exec.push_back({due, (ack - due) / 1e3});
-      out->writes.push_back(WriteRecord{v, u.edge.dst, due});
+      out->writes.push_back(WriteRecord{v, u.edge.dst, due, ack});
       out->last_ack_ns = ack;
       seen = std::max(seen, v);
-      if (spec.durable_every != 0 &&
-          out->writes_applied % spec.durable_every == 0) {
+      if (kind == OpKind::kDurableWrite) {
         out->attempted++;
         out->requests++;
         if (client.WaitDurable(v, 5'000'000)) {

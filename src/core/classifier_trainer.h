@@ -54,6 +54,8 @@ class OnlineClassifierTrainer {
   const HybridClassifier& classifier() const { return classifier_; }
   uint64_t refit_count() const { return refit_count_; }
   uint64_t explore_count() const { return explore_count_; }
+  /// Step durations fed back through Observe (valid ones only).
+  uint64_t observations() const { return observations_; }
   size_t labeled_cells() const {
     size_t n = 0;
     for (const auto& [key, cell] : cells_) {

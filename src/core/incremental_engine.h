@@ -85,9 +85,9 @@ struct EngineOptions {
 ///
 /// Thread-safety contract (mirrors RisGraph's epoch loop): mutation entry
 /// points (OnInsert / OnDelete / Reset / SyncVertexCount) are single-writer;
-/// internally they fan out over the thread pool. The read-only classification
-/// helpers (IsInsertSafe / IsDeleteSafe) may be called concurrently with each
-/// other and with safe graph-store updates, but not with a mutation.
+/// internally they fan out over the thread pool. The classification helpers
+/// (IsInsertSafe / IsDeleteSafe) are read-only; the epoch pipeline's
+/// coordinator calls them between mutations.
 template <MonotonicAlgorithm Algo, typename Store = DefaultGraphStore>
 class IncrementalEngine {
  public:
@@ -149,11 +149,9 @@ class IncrementalEngine {
   //===------------------------------------------------------------------===//
   // Safe/unsafe classification (paper Section 4) — read-only.
   //
-  // Thread-safety: both helpers only read the results arrays and the store;
-  // they may be called concurrently from any number of threads (the ingest
-  // packer fans a staged epoch's classification across the pool) and
-  // concurrently with safe graph-store updates on other edges, but never
-  // while a mutation entry point below is running.
+  // Both helpers only read the results arrays and the store; the ingest
+  // packer calls them on the coordinator thread, never while a mutation
+  // entry point below is running.
   //===------------------------------------------------------------------===//
 
   /// An insertion is safe iff it cannot produce a better value for its

@@ -2,7 +2,6 @@
 #define RISGRAPH_RUNTIME_RISGRAPH_H_
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -80,10 +79,7 @@ class AlgorithmInstance {
   virtual const char* Name() const = 0;
   virtual VertexId Root() const = 0;
 
-  // Classification. Read-only and callable concurrently from many threads
-  // (the batch former's parallel classification stage), but never while a
-  // maintenance call below is running — see the concurrent-classification
-  // contract on RisGraph::IsUpdateSafe and IncrementalEngine.
+  // Classification. Read-only; see RisGraph::IsUpdateSafe.
   virtual bool IsInsertSafe(const Edge& e) const = 0;
   virtual bool IsDeleteSafe(const Edge& e, bool removes_last) const = 0;
 
@@ -272,7 +268,7 @@ class RisGraph {
   void InitializeResults() {
     for (auto& algo : algorithms_) {
       algo->Reset(algo->Root());
-      if (options_.keep_history) algo->InitHistory(version_);
+      if (options_.keep_history) algo->InitHistory(GetCurrentVersion());
     }
   }
 
@@ -291,10 +287,10 @@ class RisGraph {
     WalAppend(Update::InsertVertex(kInvalidVertex));
     VertexId v = store_.AddVertex();
     if (id_out != nullptr) *id_out = v;
-    version_++;
+    VersionId ver = BumpVersion();
     for (auto& algo : algorithms_) {
       algo->SyncVertexCount();
-      algo->RecordVertexInit(version_, v);
+      algo->RecordVertexInit(ver, v);
     }
     if (change_sink_ != nullptr) {
       // Vertex birth: mirror RecordVertexInit for subscribers — a watch-all
@@ -303,18 +299,19 @@ class RisGraph {
       for (size_t i = 0; i < algorithms_.size(); ++i) {
         uint64_t value = algorithms_[i]->Value(v);
         ModifiedRecord r{v, value, kInvalidVertex, 0};
-        change_sink_->OnResultsCommitted(i, version_, {&r, 1}, {&value, 1});
+        change_sink_->OnResultsCommitted(i, ver, {&r, 1}, {&value, 1});
       }
     }
     WalFlush();
-    return version_;
+    return ver;
   }
   /// Deletes an isolated vertex; returns kInvalidVersion if it has edges.
   VersionId DelVertex(VertexId v) {
     if (!store_.RemoveVertex(v)) return kInvalidVersion;
     WalAppend(Update::DeleteVertex(v));
     WalFlush();
-    return version_;  // results are untouched by definition (Section 4)
+    // Results are untouched by definition (Section 4).
+    return GetCurrentVersion();
   }
 
   /// Atomic batch (paper: txn_updates). The whole transaction maps to one
@@ -377,15 +374,19 @@ class RisGraph {
       any |= !algo->LastModified().empty();
     }
     if (any) {
-      version_++;
+      BumpVersion();
       RecordHistoryAll();
       PublishCommittedAll();
     }
     WalFlush();
-    return version_;
+    return GetCurrentVersion();
   }
 
-  VersionId GetCurrentVersion() const { return version_; }
+  /// Safe to call from any thread (acquire load; the single-writer lane
+  /// publishes each version with a release store).
+  VersionId GetCurrentVersion() const {
+    return version_.load(std::memory_order_acquire);
+  }
 
   uint64_t GetValue(size_t algo, VersionId version, VertexId v) const {
     return algorithms_[algo]->HistoryValue(version, v);
@@ -407,52 +408,17 @@ class RisGraph {
   //===------------------------------------------------------------------===//
   // Classification & raw apply — primitives for the epoch loop (Section 4).
   //
-  // Concurrent-classification contract: IsUpdateSafe / IsTxnSafe (and the
-  // per-algorithm IsInsertSafe / IsDeleteSafe they delegate to) are
-  // read-only over the store and the engines' current results. They may be
-  // called from any number of threads at once — this is what lets the batch
-  // former fan classification of a staged epoch across the thread pool —
-  // but never concurrently with a mutation (ApplyUnsafe, ApplyTxnUnsafe,
-  // ExecuteReadWrite, the Interactive API entry points, or ApplySafeToStore
-  // on an edge whose classification is in flight). The epoch pipeline
-  // upholds this by construction: the packing phase finishes before any
-  // update executes. Debug builds enforce it — parallel classification runs
-  // inside a ClassificationScope, and the mutation paths assert that no
-  // scope is active.
+  // IsUpdateSafe / IsTxnSafe (and the per-algorithm IsInsertSafe /
+  // IsDeleteSafe they delegate to) are read-only over the store and the
+  // engines' current results. The epoch pipeline's coordinator calls them
+  // while it packs an epoch, between mutations: no update executes until
+  // packing finishes.
   //===------------------------------------------------------------------===//
-
-  /// RAII marker for a region of concurrent read-only classification.
-  /// Zero-cost in release builds; in debug builds, mutations assert that no
-  /// scope is live (AssertNoClassification).
-  class ClassificationScope {
-   public:
-    explicit ClassificationScope(const RisGraph& sys) {
-#ifndef NDEBUG
-      readers_ = &sys.classification_readers_;
-      readers_->fetch_add(1, std::memory_order_relaxed);
-#else
-      (void)sys;
-#endif
-    }
-    ~ClassificationScope() {
-#ifndef NDEBUG
-      readers_->fetch_sub(1, std::memory_order_relaxed);
-#endif
-    }
-    ClassificationScope(const ClassificationScope&) = delete;
-    ClassificationScope& operator=(const ClassificationScope&) = delete;
-
-#ifndef NDEBUG
-   private:
-    std::atomic<int>* readers_ = nullptr;
-#endif
-  };
 
   /// Safe iff safe for *every* maintained algorithm ("an update is safe only
   /// when it is safe for every algorithm"). `pending_dup_delta` adjusts the
   /// duplicate count for deletions classified behind other in-epoch updates
-  /// on the same key. Thread-safe under the concurrent-classification
-  /// contract above.
+  /// on the same key.
   bool IsUpdateSafe(const Update& u, int64_t pending_dup_delta = 0) const {
     switch (u.kind) {
       case UpdateKind::kInsertVertex:
@@ -516,11 +482,11 @@ class RisGraph {
   VersionId ApplyUnsafe(const Update& u) {
     bool changed = ApplyToStoreAndEngines(u);
     if (changed) {
-      version_++;
+      BumpVersion();
       RecordHistoryAll();
       PublishCommittedAll();
     }
-    return version_;
+    return GetCurrentVersion();
   }
 
   /// Applies a whole transaction in the single-writer lane (one version;
@@ -534,11 +500,11 @@ class RisGraph {
       any |= !algo->LastModified().empty();
     }
     if (any) {
-      version_++;
+      BumpVersion();
       RecordHistoryAll();
       PublishCommittedAll();
     }
-    return version_;
+    return GetCurrentVersion();
   }
 
   /// WAL hooks for the epoch pipeline's group commit.
@@ -566,11 +532,11 @@ class RisGraph {
     if (!wal_.IsOpen()) return Status::kOk;
     ScopedTimer t(wal_timer_);
     if (wal_.FlusherRunning()) {
-      wal_.Seal(version_);
+      wal_.Seal(GetCurrentVersion());
       return wal_.status();
     }
     Status st = wal_.Flush();
-    if (st == Status::kOk) wal_.AdvanceDurableVersion(version_);
+    if (st == Status::kOk) wal_.AdvanceDurableVersion(GetCurrentVersion());
     return st;
   }
 
@@ -582,7 +548,7 @@ class RisGraph {
   /// Result-version durability watermark (see WriteAheadLog::DurableVersion;
   /// equals GetCurrentVersion() trivially when durability is disabled).
   uint64_t DurableVersion() const {
-    return wal_.IsOpen() ? wal_.DurableVersion() : version_;
+    return wal_.IsOpen() ? wal_.DurableVersion() : GetCurrentVersion();
   }
 
   /// Installs (or clears, with nullptr) the result-change sink the commit
@@ -634,7 +600,7 @@ class RisGraph {
     VersionId ver;
     if (safe) {
       ApplySafeToStore(u);
-      ver = version_;
+      ver = GetCurrentVersion();
     } else {
       ver = ApplyUnsafe(u);
     }
@@ -642,18 +608,8 @@ class RisGraph {
     return ver;
   }
 
-  // The mutation side of the concurrent-classification contract: no
-  // classification scope may be live while store or engine state changes.
-  void AssertNoClassification() const {
-#ifndef NDEBUG
-    assert(classification_readers_.load(std::memory_order_relaxed) == 0 &&
-           "mutation while concurrent classification is in flight");
-#endif
-  }
-
   // Returns true if any algorithm's results changed (=> new version needed).
   bool ApplyToStoreAndEngines(const Update& u) {
-    AssertNoClassification();
     switch (u.kind) {
       case UpdateKind::kInsertEdge: {
         {
@@ -694,10 +650,17 @@ class RisGraph {
     return false;
   }
 
+  // One writer, so a plain load plus a release store; no read-modify-write.
+  VersionId BumpVersion() {
+    VersionId ver = version_.load(std::memory_order_relaxed) + 1;
+    version_.store(ver, std::memory_order_release);
+    return ver;
+  }
+
   void RecordHistoryAll() {
     if (!options_.keep_history) return;
     ScopedTimer t(his_store_timer_);
-    for (auto& algo : algorithms_) algo->RecordHistory(version_);
+    for (auto& algo : algorithms_) algo->RecordHistory(GetCurrentVersion());
   }
 
   // Feeds the change sink right after a result version commits: one call per
@@ -715,22 +678,22 @@ class RisGraph {
       for (const ModifiedRecord& r : recs) {
         sink_values_.push_back(algorithms_[i]->Value(r.vertex));
       }
-      change_sink_->OnResultsCommitted(i, version_, recs, sink_values_);
+      change_sink_->OnResultsCommitted(i, GetCurrentVersion(), recs,
+                                       sink_values_);
     }
   }
 
   RisGraphOptions options_;
   Store store_;
   std::vector<std::unique_ptr<AlgorithmInstance>> algorithms_;
-  VersionId version_ = 0;
+  // Written only by the single-writer lane (BumpVersion); read by client
+  // threads through GetCurrentVersion.
+  std::atomic<VersionId> version_{0};
   WriteAheadLog wal_;
   /// Commit tap for the subscription subsystem (nullptr = disabled).
   ResultChangeSink* change_sink_ = nullptr;
   /// Scratch for PublishCommittedAll's committed-value capture (reused).
   std::vector<uint64_t> sink_values_;
-#ifndef NDEBUG
-  mutable std::atomic<int> classification_readers_{0};
-#endif
 
   ComponentTimer upd_eng_timer_;
   ComponentTimer cmp_eng_timer_;

@@ -158,9 +158,10 @@ struct SubscriptionFilter {
 
 /// One pushed change: vertex `vertex` of algorithm `algo` moved from
 /// `old_value` to `new_value` at result version `version`. Notification
-/// streams are deterministic: same committed versions => same notifications
-/// in the same order, at any ingest shard count and over either transport
-/// (the invariance contract of tests/test_subscribe.cc).
+/// streams are deterministic: same committed versions => each subscription
+/// gets the same notifications in the same order, at any ingest shard count
+/// and over either transport (the invariance contract of
+/// tests/test_subscribe.cc).
 struct Notification {
   uint64_t subscription_id = 0;
   uint64_t algo = 0;

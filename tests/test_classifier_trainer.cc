@@ -137,7 +137,11 @@ TEST(OnlineClassifierTrainer, EngineIntegrationStaysCorrect) {
   for (VertexId v = 0; v < wl.num_vertices; ++v) {
     ASSERT_EQ(engine.Value(v), ref[v]) << v;
   }
-  EXPECT_GT(trainer.explore_count() + trainer.labeled_cells(), 0u);
+  // The engine consulted the trainer and fed back measured step times.
+  // (explore_count alone is not a stable witness: ~12 push steps at a 0.3
+  // explore rate draw 0 or 1 explorations, depending on how many steps the
+  // multi-threaded relaxation order produces.)
+  EXPECT_GT(trainer.observations(), 0u);
 }
 
 }  // namespace

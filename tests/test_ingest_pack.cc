@@ -1,4 +1,4 @@
-// The two-stage epoch packer (ingest/batch_former.h):
+// The epoch packer (ingest/batch_former.h):
 //   * FlatMap/FlatSet open-addressing tables — probe-collision handling,
 //     O(1) generation clears, full-key comparison;
 //   * IngestShard::TryPopBulk / ShardedIngestQueue::DrainInto — bulk drains
@@ -6,11 +6,12 @@
 //   * dup-delta regression: two distinct edges engineered to collide under
 //     the old 64-bit mixed DeltaKey must NOT share a duplicate-count delta
 //     (the old table misclassified the deletion of a tree edge as safe);
-//   * classification equivalence: randomized multi-session streams packed by
-//     the sequential packer and the pool-fanned parallel packer produce
-//     identical verdicts, WAL order, and result versions, epoch by epoch;
-//   * end-to-end: the full pipeline with parallel packing forced on matches
-//     a serial per-session replay (FIFO effects, counters, recompute);
+//   * one-at-a-time replay: randomized multi-session streams over a small
+//     key space (same-key dup-delta folds in most epochs) end in the same
+//     edge counts and results as a fresh system that applies each epoch's
+//     updates one at a time, with full analysis, in the order they executed;
+//   * end-to-end: the full pipeline matches a serial per-session replay
+//     (FIFO effects, counters, recompute);
 //   * steady-state packing performs zero heap allocations per epoch
 //     (counting global allocator).
 
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <new>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -222,11 +224,10 @@ struct VerdictRec {
 class PackHarness {
  public:
   PackHarness(RisGraph<>& sys, size_t num_sessions, size_t shards,
-              size_t shard_capacity, size_t parallel_threshold,
-              ThreadPool* pool)
+              size_t shard_capacity)
       : sys_(sys),
         queue_(shards, shard_capacity),
-        former_(sys, queue_, pool, {parallel_threshold}),
+        former_(sys, queue_),
         num_sessions_(num_sessions),
         sessions_(new Session[num_sessions]) {}
 
@@ -328,74 +329,89 @@ TEST(IngestPack, DupDeltaKeysOnFullTupleNotHash) {
   ASSERT_EQ(OldDeltaKey(collider), OldDeltaKey(tree));
   ASSERT_NE(collider, tree);
 
-  ThreadPool pool(4);
-  for (size_t threshold : {~size_t{0}, size_t{1}}) {  // sequential, parallel
-    RisGraph<> sys(4, NoHistory());
-    size_t bfs = sys.AddAlgorithm<Bfs>(0);
-    sys.LoadGraph({tree});
-    sys.InitializeResults();
+  RisGraph<> sys(4, NoHistory());
+  size_t bfs = sys.AddAlgorithm<Bfs>(0);
+  sys.LoadGraph({tree});
+  sys.InitializeResults();
 
-    PackHarness h(sys, /*sessions=*/1, /*shards=*/1, /*capacity=*/16,
-                  threshold, &pool);
-    ASSERT_TRUE(h.PushAsync(0, Update::InsertEdge(collider.src, collider.dst,
-                                                  collider.weight)));
-    ASSERT_TRUE(
-        h.PushAsync(0, Update::DeleteEdge(tree.src, tree.dst, tree.weight)));
+  PackHarness h(sys, /*sessions=*/1, /*shards=*/1, /*capacity=*/16);
+  ASSERT_TRUE(h.PushAsync(0, Update::InsertEdge(collider.src, collider.dst,
+                                                collider.weight)));
+  ASSERT_TRUE(
+      h.PushAsync(0, Update::DeleteEdge(tree.src, tree.dst, tree.weight)));
 
-    std::vector<VerdictRec> log;
-    EXPECT_EQ(h.RunEpoch(&log), 2u);
-    ASSERT_EQ(log.size(), 2u);
-    EXPECT_TRUE(log[0].safe) << "insert of the colliding edge is safe";
-    EXPECT_FALSE(log[1].safe)
-        << "deletion of the last duplicate of a tree edge must be unsafe "
-           "even when another edge collides with it in the delta table";
+  std::vector<VerdictRec> log;
+  EXPECT_EQ(h.RunEpoch(&log), 2u);
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_TRUE(log[0].safe) << "insert of the colliding edge is safe";
+  EXPECT_FALSE(log[1].safe)
+      << "deletion of the last duplicate of a tree edge must be unsafe "
+         "even when another edge collides with it in the delta table";
 
-    // The unsafe lane recomputed: results match a from-scratch reference.
-    auto ref = ReferenceCompute<Bfs>(sys.store(), 0);
-    for (VertexId v = 0; v < 4; ++v) {
-      EXPECT_EQ(sys.GetValue(bfs, v), ref[v]) << v;
-    }
+  // The unsafe lane recomputed: results match a from-scratch reference.
+  auto ref = ReferenceCompute<Bfs>(sys.store(), 0);
+  for (VertexId v = 0; v < 4; ++v) {
+    EXPECT_EQ(sys.GetValue(bfs, v), ref[v]) << v;
   }
 }
 
 //===--------------------------------------------------------------------===//
-// Sequential / parallel classification equivalence
+// One-at-a-time replay of randomized same-key streams
 //===--------------------------------------------------------------------===//
 
-TEST(IngestPack, ParallelVerdictsMatchSequential) {
+// Every safe verdict skips analysis, so it must be right: a deletion
+// classified behind same-key updates of the same epoch sees the dup-delta
+// folds of the safe ones claimed before it. A fresh system that applies the
+// epoch's updates one at a time through the Interactive API (classifying
+// and analysing each against the state it executes in) must end with the
+// same edge counts and results. The oracle replays the order the epoch
+// executed (safe groups, then the unsafe lane), which is not always the
+// claim order of the WAL batch: a safe deletion of an absent key and a
+// same-key safe insertion from another session do not commute.
+TEST(IngestPack, RandomSameKeyStreamMatchesOneAtATimeReplay) {
   constexpr size_t kSessions = 4;
   constexpr uint64_t kVertices = 16;
   constexpr Weight kMaxWeight = 2;
   constexpr int kEpochs = 40;
   constexpr int kPerEpoch = 200;
+  const std::vector<Edge> preload{{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 4, 2}};
 
-  ThreadPool pool(4);
   for (uint64_t seed : {11u, 22u, 33u}) {
-    RisGraph<> seq_sys(kVertices, NoHistory());
-    RisGraph<> par_sys(kVertices, NoHistory());
-    for (auto* sys : {&seq_sys, &par_sys}) {
-      sys->AddAlgorithm<Bfs>(0);
-      sys->AddAlgorithm<Sssp>(0);
-      sys->LoadGraph({{0, 1, 1}, {0, 2, 1}, {1, 3, 1}, {2, 4, 2}});
-      sys->InitializeResults();
+    RisGraph<> sys(kVertices, NoHistory());
+    RisGraph<> oracle(kVertices, NoHistory());
+    for (auto* g : {&sys, &oracle}) {
+      g->AddAlgorithm<Bfs>(0);
+      g->AddAlgorithm<Sssp>(0);
+      g->LoadGraph(preload);
+      g->InitializeResults();
     }
-
-    PackHarness seq(seq_sys, kSessions, 2, 1024, ~size_t{0}, &pool);
-    PackHarness par(par_sys, kSessions, 2, 1024, /*threshold=*/1, &pool);
+    PackHarness h(sys, kSessions, 2, 1024);
 
     Rng rng(seed);
     uint64_t safe_seen = 0;
     uint64_t unsafe_seen = 0;
-    auto run_epoch_pair = [&] {
-      std::vector<VerdictRec> seq_log, par_log;
-      std::vector<Update> seq_wal, par_wal;
-      uint64_t seq_found = seq.RunEpoch(&seq_log, &seq_wal);
-      uint64_t par_found = par.RunEpoch(&par_log, &par_wal);
-      ASSERT_EQ(seq_found, par_found);
-      ASSERT_EQ(seq_wal, par_wal);  // claim order is part of the contract
-      ASSERT_EQ(seq_log, par_log);
-      ASSERT_EQ(seq_sys.GetCurrentVersion(), par_sys.GetCurrentVersion());
-      for (const VerdictRec& r : seq_log) (r.safe ? safe_seen : unsafe_seen)++;
+    auto run_epoch = [&] {
+      std::vector<VerdictRec> log;
+      std::vector<Update> wal;
+      h.RunEpoch(&log, &wal);
+      // The WAL batch holds exactly the updates the epoch executed.
+      std::vector<Update> executed;
+      for (const VerdictRec& r : log) executed.push_back(r.update);
+      auto by_fields = [](const Update& x, const Update& y) {
+        return std::tie(x.kind, x.edge.src, x.edge.dst, x.edge.weight) <
+               std::tie(y.kind, y.edge.src, y.edge.dst, y.edge.weight);
+      };
+      std::sort(executed.begin(), executed.end(), by_fields);
+      std::sort(wal.begin(), wal.end(), by_fields);
+      ASSERT_EQ(executed, wal);
+
+      for (const VerdictRec& r : log) {
+        (r.safe ? safe_seen : unsafe_seen)++;
+        const Edge& e = r.update.edge;
+        r.update.kind == UpdateKind::kInsertEdge
+            ? oracle.InsEdge(e.src, e.dst, e.weight)
+            : oracle.DelEdge(e.src, e.dst, e.weight);
+      }
     };
 
     for (int e = 0; e < kEpochs; ++e) {
@@ -405,56 +421,49 @@ TEST(IngestPack, ParallelVerdictsMatchSequential) {
         VertexId b = rng.NextBounded(kVertices);
         Weight w = 1 + rng.NextBounded(kMaxWeight);
         // Small key space: same-key collisions within an epoch are common,
-        // exercising the dup-delta reconciliation path. Occasionally insert
-        // and immediately delete the same key through the same session.
+        // exercising the dup-delta fold. Occasionally insert and
+        // immediately delete the same key through the same session.
         Update u = rng.NextBool(0.55) ? Update::InsertEdge(a, b, w)
                                       : Update::DeleteEdge(a, b, w);
-        ASSERT_TRUE(seq.PushAsync(c, u));
-        ASSERT_TRUE(par.PushAsync(c, u));
+        ASSERT_TRUE(h.PushAsync(c, u));
         if (u.kind == UpdateKind::kInsertEdge && rng.NextBool(0.3)) {
-          Update del = Update::DeleteEdge(a, b, w);
-          ASSERT_TRUE(seq.PushAsync(c, del));
-          ASSERT_TRUE(par.PushAsync(c, del));
+          ASSERT_TRUE(h.PushAsync(c, Update::DeleteEdge(a, b, w)));
           ++i;
         }
       }
-      run_epoch_pair();
+      run_epoch();
     }
     // Drain parked (next-epoch) items.
-    for (int e = 0; e < 64 && (seq.HasDeferred() || par.HasDeferred()); ++e) {
-      run_epoch_pair();
-    }
-    ASSERT_FALSE(seq.HasDeferred());
-    ASSERT_FALSE(par.HasDeferred());
+    for (int e = 0; e < 64 && h.HasDeferred(); ++e) run_epoch();
+    ASSERT_FALSE(h.HasDeferred());
 
     // The randomized mix must have exercised both classes.
     EXPECT_GT(safe_seen, 0u);
     EXPECT_GT(unsafe_seen, 0u);
 
-    // Final stores and results are identical.
     for (VertexId a = 0; a < kVertices; ++a) {
       for (VertexId b = 0; b < kVertices; ++b) {
         for (Weight w = 1; w <= kMaxWeight; ++w) {
-          ASSERT_EQ(seq_sys.store().EdgeCount(a, EdgeKey{b, w}),
-                    par_sys.store().EdgeCount(a, EdgeKey{b, w}))
-              << a << "->" << b << " w" << w;
+          ASSERT_EQ(sys.store().EdgeCount(a, EdgeKey{b, w}),
+                    oracle.store().EdgeCount(a, EdgeKey{b, w}))
+              << "seed " << seed << " edge " << a << "->" << b << " w" << w;
         }
       }
     }
     for (size_t algo = 0; algo < 2; ++algo) {
       for (VertexId v = 0; v < kVertices; ++v) {
-        ASSERT_EQ(seq_sys.GetValue(algo, v), par_sys.GetValue(algo, v))
-            << "algo " << algo << " v " << v;
+        ASSERT_EQ(sys.GetValue(algo, v), oracle.GetValue(algo, v))
+            << "seed " << seed << " algo " << algo << " v " << v;
       }
     }
   }
 }
 
 //===--------------------------------------------------------------------===//
-// End-to-end: full pipeline with parallel packing forced on
+// End-to-end: full pipeline
 //===--------------------------------------------------------------------===//
 
-TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
+TEST(IngestPack, PipelineMatchesSerialReplay) {
   constexpr uint64_t kBlock = 16;
   constexpr int kSessions = 6;  // 3 pipelined + 3 blocking
   constexpr uint64_t kVertices = 1 + kSessions * kBlock;
@@ -469,11 +478,10 @@ TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
   sys.LoadGraph(preload);
   sys.InitializeResults();
 
-  ThreadPool pool(4);  // real fan-out even on small CI machines
+  ThreadPool pool(4);  // real safe-phase fan-out even on small CI machines
   ServiceOptions opt;
   opt.ingest_shards = 2;
   opt.ingest_shard_capacity = 256;
-  opt.pack_parallel_threshold = 1;  // always classify on the pool
   RisGraphService<> service(sys, opt, &pool);
   std::vector<Session*> sessions;
   for (int i = 0; i < kSessions; ++i) sessions.push_back(service.OpenSession());
@@ -552,8 +560,7 @@ TEST(IngestPack, PipelineWithParallelPackerMatchesSerialReplay) {
   EXPECT_GT(service.unsafe_ops(), 0u);
 
   // Serial per-session replay oracle (blocks are disjoint, so only
-  // per-session order matters — exactly what the parallel packer must
-  // preserve).
+  // per-session order matters — exactly what the packer must preserve).
   RisGraph<> oracle(kVertices);
   oracle.AddAlgorithm<Bfs>(0);
   oracle.LoadGraph(preload);
@@ -671,53 +678,47 @@ TEST(IngestPack, SteadyStatePackingAllocatesNothing) {
   constexpr uint64_t kVertices = 32;
   constexpr int kPerEpoch = 128;
 
-  ThreadPool pool(2);
-  for (size_t threshold : {~size_t{0}, size_t{1}}) {  // sequential, parallel
-    RisGraph<> sys(kVertices, NoHistory());
-    sys.AddAlgorithm<Bfs>(0);
-    sys.LoadGraph({{0, 1, 1}, {0, 2, 1}});
-    sys.InitializeResults();
-    PackHarness h(sys, /*sessions=*/4, /*shards=*/2, /*capacity=*/1024,
-                  threshold, &pool);
+  RisGraph<> sys(kVertices, NoHistory());
+  sys.AddAlgorithm<Bfs>(0);
+  sys.LoadGraph({{0, 1, 1}, {0, 2, 1}});
+  sys.InitializeResults();
+  PackHarness h(sys, /*sessions=*/4, /*shards=*/2, /*capacity=*/1024);
 
-    Rng rng(7);
-    // Identical per-epoch load shape: insert a key set one epoch, delete it
-    // the next, so capacities stabilize during warm-up.
-    std::vector<Edge> keys;
-    for (int i = 0; i < kPerEpoch; ++i) {
-      keys.push_back(Edge{rng.NextBounded(kVertices),
-                          rng.NextBounded(kVertices),
-                          1 + rng.NextBounded(2)});
-    }
-    auto push_epoch = [&](bool inserts) {
-      for (int i = 0; i < kPerEpoch; ++i) {
-        const Edge& e = keys[i];
-        Update u = inserts ? Update::InsertEdge(e.src, e.dst, e.weight)
-                           : Update::DeleteEdge(e.src, e.dst, e.weight);
-        ASSERT_TRUE(h.PushAsync(i % 4, u));
-      }
-    };
-
-    // Warm-up: let every scratch structure reach steady-state capacity.
-    for (int e = 0; e < 20; ++e) {
-      push_epoch(e % 2 == 0);
-      h.RunEpoch(nullptr);
-    }
-
-    // Measured phase: the pack path (BeginEpoch + PackOnce, inside
-    // RunEpoch before execution) must not allocate. Execution and pushes
-    // stay outside the measured windows.
-    uint64_t allocs = 0;
-    for (int e = 0; e < 10; ++e) {
-      push_epoch(e % 2 == 0);
-      uint64_t before = g_news.load(std::memory_order_relaxed);
-      h.RunEpochPackOnly();
-      allocs += g_news.load(std::memory_order_relaxed) - before;
-      h.ExecutePending();
-    }
-    EXPECT_EQ(allocs, 0u) << (threshold == 1 ? "parallel" : "sequential")
-                          << " packer allocated in steady state";
+  Rng rng(7);
+  // Identical per-epoch load shape: insert a key set one epoch, delete it
+  // the next, so capacities stabilize during warm-up.
+  std::vector<Edge> keys;
+  for (int i = 0; i < kPerEpoch; ++i) {
+    keys.push_back(Edge{rng.NextBounded(kVertices), rng.NextBounded(kVertices),
+                        1 + rng.NextBounded(2)});
   }
+  auto push_epoch = [&](bool inserts) {
+    for (int i = 0; i < kPerEpoch; ++i) {
+      const Edge& e = keys[i];
+      Update u = inserts ? Update::InsertEdge(e.src, e.dst, e.weight)
+                         : Update::DeleteEdge(e.src, e.dst, e.weight);
+      ASSERT_TRUE(h.PushAsync(i % 4, u));
+    }
+  };
+
+  // Warm-up: let every scratch structure reach steady-state capacity.
+  for (int e = 0; e < 20; ++e) {
+    push_epoch(e % 2 == 0);
+    h.RunEpoch(nullptr);
+  }
+
+  // Measured phase: the pack path (BeginEpoch + PackOnce, inside RunEpoch
+  // before execution) must not allocate. Execution and pushes stay outside
+  // the measured windows.
+  uint64_t allocs = 0;
+  for (int e = 0; e < 10; ++e) {
+    push_epoch(e % 2 == 0);
+    uint64_t before = g_news.load(std::memory_order_relaxed);
+    h.RunEpochPackOnly();
+    allocs += g_news.load(std::memory_order_relaxed) - before;
+    h.ExecutePending();
+  }
+  EXPECT_EQ(allocs, 0u) << "packer allocated in steady state";
 }
 
 }  // namespace

@@ -589,6 +589,36 @@ TEST_F(RpcTestBase, InProcessAndRpcClientsShareOneSurface) {
   }
 }
 
+// A client that was just acked version v never reads an older current
+// version: the single-writer lane publishes each version with a release
+// store before the response that carries it, and GetCurrentVersion reads it
+// with an acquire load. Both transports run at once, so the coordinator
+// writes the version while client threads read it.
+TEST_F(RpcTestBase, CurrentVersionCoversAckedWritesOnBothTransports) {
+  Boot({}, /*start_service=*/false);
+  SessionClient<> local(*sys_, service_->pipeline());
+  service_->Start();
+  RpcClient remote;
+  ASSERT_TRUE(remote.Connect(socket_path_));
+
+  // Each client extends its own chain from the root, so every insert
+  // changes BFS results and commits a new version.
+  auto drive = [](IClient& client, VertexId base) {
+    VertexId prev = 0;
+    for (VertexId v = base; v < base + 60; ++v) {
+      VersionId acked = client.InsEdge(prev, v);
+      ASSERT_NE(acked, kInvalidVersion);
+      VersionId cur = 0;
+      ASSERT_TRUE(client.GetCurrentVersion(&cur));
+      ASSERT_GE(cur, acked) << "after inserting " << prev << "->" << v;
+      prev = v;
+    }
+  };
+  std::thread in_process([&] { drive(local, 1); });
+  drive(remote, 100);
+  in_process.join();
+}
+
 //===--- Correlation-ID demultiplexing (scripted out-of-order peer) ----------//
 
 TEST(RpcClientProtocol, OutOfOrderResponsesMatchedByCorrelationId) {

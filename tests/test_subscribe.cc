@@ -469,6 +469,14 @@ NotifyOutcome DriveOverRpc(const StreamWorkload& wl, size_t ingest_shards) {
     while (client.WaitNotification(200000)) {
       client.PollNotifications(&out.stream);
     }
+    // Pushes arrive split over several wake-ups, each chunk in
+    // subscription-id order. The registry promises per-subscription order
+    // plus id order within one poll, so put the stream in the order the
+    // in-process oracle's single poll gives: a stable sort by id.
+    std::stable_sort(out.stream.begin(), out.stream.end(),
+                     [](const Notification& a, const Notification& b) {
+                       return a.subscription_id < b.subscription_id;
+                     });
     out.version = sys.GetCurrentVersion();
     client.Close();
   }

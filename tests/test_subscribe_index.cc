@@ -393,9 +393,19 @@ ChurnOutcome DriveChurnOverRpc(const StreamWorkload& wl, size_t ingest_shards,
       // Remote delivery is asynchronous: drain until quiet (bounded by
       // push latency once the matcher is idle) BEFORE the next churn may
       // unsubscribe — a racing unsubscribe drops in-flight pushes.
+      std::vector<Notification> round;
       while (client.WaitNotification(200000)) {
-        client.PollNotifications(&out.stream);
+        client.PollNotifications(&round);
       }
+      // The round's pushes can arrive split over several wake-ups, each in
+      // subscription-id order. The registry promises per-subscription order
+      // plus id order within one poll, so put the round in the order the
+      // in-process oracle's single poll gives: a stable sort by id.
+      std::stable_sort(round.begin(), round.end(),
+                       [](const Notification& a, const Notification& b) {
+                         return a.subscription_id < b.subscription_id;
+                       });
+      out.stream.insert(out.stream.end(), round.begin(), round.end());
     }
     out.version = sys.GetCurrentVersion();
     client.Close();
